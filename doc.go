@@ -23,7 +23,7 @@
 //	 └──► lustre, trace
 //
 //   - internal/sim is the deterministic discrete-event engine: processes
-//     as goroutines with explicit handoff, FIFO reservations,
+//     as coroutines (iter.Pull), FIFO reservations,
 //     processor-sharing resources.
 //   - internal/machine, internal/torus and internal/network describe the
 //     hardware: Table-1 machine configurations, the SeaStar 3-D torus,

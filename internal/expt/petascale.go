@@ -10,7 +10,7 @@ import (
 // (DESIGN.md §4i) and the paper-scale capstone: S3D strong scaling on the
 // full combined XT3/XT4 — the 11,706-node, 23,016-core configuration of §2
 // — up to every core of the machine. Each cell runs twice: once on the
-// goroutine-per-rank DES as the reference, once on the hybrid fast path,
+// coroutine-per-rank DES as the reference, once on the hybrid fast path,
 // and the table compares them. SN cells pin the task grid to the torus
 // dimensions, which makes every ghost exchange single-hop on a link no
 // other rank routes over — the placement where the exact tier admits and

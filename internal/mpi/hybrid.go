@@ -11,7 +11,7 @@ import (
 
 // Hybrid rank runtime (DESIGN.md §4i): when core.EnableHybrid admitted the
 // run, every rank advances a private clock (core.HybClock) instead of a
-// goroutine-per-rank DES process. Sends are priced by the fabric's
+// coroutine-per-rank DES process. Sends are priced by the fabric's
 // HybridSession (exact ledger replay or the uncontended closed form),
 // receives match against a per-rank pending list, and collectives meet at
 // a shared barrier object that mirrors the DES analytic meet arithmetic.

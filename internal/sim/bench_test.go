@@ -34,7 +34,7 @@ func BenchmarkEngineEvents(b *testing.B) {
 
 // BenchmarkProcSwitch measures one blocking-operation round trip: two
 // processes ping-pong through a pair of mailboxes, so each iteration is two
-// yield/wake cycles (four scheduler handoffs). This is the cost every
+// yield/wake cycles (four coroutine switches). This is the cost every
 // simulated Recv, resource acquisition, and rendezvous pays.
 func BenchmarkProcSwitch(b *testing.B) {
 	e := NewEngine()
@@ -57,7 +57,7 @@ func BenchmarkProcSwitch(b *testing.B) {
 }
 
 // BenchmarkProcWait measures a pure timer block: one process repeatedly
-// waiting. Each iteration is one timer event plus one scheduler handoff
+// waiting. Each iteration is one timer event plus one coroutine switch
 // pair.
 func BenchmarkProcWait(b *testing.B) {
 	e := NewEngine()

@@ -5,13 +5,12 @@
 // memory subsystems, NICs, torus links, and MPI ranks are all simulated
 // processes or resources living on one simulated clock.
 //
-// Processes are ordinary Go functions run on goroutines, but the engine
-// guarantees that at most one process executes at any instant: a process runs
-// until it blocks on a simulation primitive (Wait, Mailbox.Recv, resource
-// acquisition), at which point control is handed back to the scheduler. This
-// makes simulations fully deterministic — event ordering is defined by
-// (time, sequence number), never by the Go runtime scheduler — which is
-// essential for reproducible performance experiments.
+// Processes are ordinary Go functions run as coroutines (iter.Pull): a
+// process runs until it blocks on a simulation primitive (Wait,
+// Mailbox.Recv, resource acquisition), then switches straight back to the
+// scheduler. Event ordering is defined by (time, sequence number), never by
+// the Go runtime scheduler, so simulations are fully deterministic — which
+// is essential for reproducible performance experiments.
 //
 // The scheduling hot path is allocation-free in steady state: events are
 // values in a 4-ary min-heap whose backing array doubles as a free list
@@ -40,7 +39,7 @@ const Infinity Time = math.MaxFloat64
 const (
 	evFunc   uint8 = iota // call the wrapped closure (rides in arr)
 	evTimer               // a Wait deadline: unpark proc, transfer control
-	evResume              // a wake: bookkeeping already done, transfer control
+	evResume              // a start or wake: bookkeeping done, transfer control
 	evArrive              // dispatch arr.Arrive(at): a typed completion callback
 )
 
@@ -170,10 +169,9 @@ type Engine struct {
 	now     Time
 	seq     uint64
 	queue   eventQueue
-	live    int           // processes spawned and not yet finished
-	blocked int           // processes currently blocked on a primitive
-	running bool          // inside Run
-	handoff chan struct{} // signalled by a process when it yields control
+	blocked int   // processes currently blocked on a primitive
+	running bool  // inside Run
+	cur     *Proc // the process whose body is executing, nil in events
 	procSeq int
 
 	// parkedHead/parkedTail form an intrusive doubly-linked list of blocked
@@ -191,10 +189,6 @@ type Engine struct {
 	shardIdx int
 	horizon  Time
 
-	// procPanic holds a panic value captured on a process goroutine, to be
-	// re-raised on the scheduler's goroutine by step.
-	procPanic any
-
 	// Stats, exported for tests and for the experiment harness.
 	EventsExecuted uint64
 	ProcsSpawned   int
@@ -202,7 +196,7 @@ type Engine struct {
 
 // NewEngine returns an engine with the clock at zero and no pending events.
 func NewEngine() *Engine {
-	return &Engine{handoff: make(chan struct{})}
+	return &Engine{}
 }
 
 // Now reports the current simulated time in seconds.
@@ -352,11 +346,6 @@ func (e *Engine) step() {
 		ev.proc.run()
 	case evArrive:
 		ev.arr.Arrive(ev.at)
-	}
-	if e.procPanic != nil {
-		r := e.procPanic
-		e.procPanic = nil
-		panic(r)
 	}
 }
 

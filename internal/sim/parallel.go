@@ -171,8 +171,9 @@ func (e *Engine) Post(to int, at Time, key uint64, a Arriver) {
 }
 
 // worker serves window requests for domain i until the request channel
-// closes. Panics inside the simulation are caught and surfaced to the
-// coordinator, which re-panics on the caller's goroutine.
+// closes. Panics inside the simulation, and a runtime.Goexit in a process
+// body, are caught and surfaced to the coordinator, which re-panics on the
+// caller's goroutine.
 func (s *ShardedEngine) worker(i int) {
 	e := s.engs[i]
 	var stall int64
@@ -185,8 +186,15 @@ func (s *ShardedEngine) worker(i int) {
 		stall += time.Since(t0).Nanoseconds()
 		rep := shardReply{stallNS: stall}
 		func() {
-			defer func() { rep.panicked = recover() }()
+			done := false
+			defer func() {
+				if rep.panicked = recover(); rep.panicked == nil && !done {
+					rep.panicked = fmt.Sprintf("sim: a process in domain %d called runtime.Goexit", i)
+					s.rep[i] <- rep // this goroutine is unwinding: reply now
+				}
+			}()
 			e.runUntil(h)
+			done = true
 		}()
 		rep.next = e.nextEventAt()
 		s.rep[i] <- rep

@@ -1,18 +1,27 @@
+//go:build go1.23
+
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+	"sync"
+)
 
-// Proc is a simulated process: a goroutine whose execution is interleaved
-// with all other processes under the engine's control. A Proc may only call
-// its blocking methods (Wait, Recv, resource acquisition) from its own
-// goroutine; calling them from another goroutine corrupts the handoff
-// protocol.
+// Proc is a simulated process: its body runs on a coroutine (iter.Pull)
+// that the engine resumes with one direct switch and that switches straight
+// back when it blocks, so at most one process runs at a time. A Proc may
+// only block (Wait, Recv, resource acquisition) from its own body; blocking
+// it from an event callback or from another process panics.
 type Proc struct {
-	eng    *Engine
-	id     int
-	name   string
-	resume chan struct{}
-	done   bool
+	eng  *Engine
+	id   int
+	name string
+
+	// fn is the body, nil once it has returned. r is the coroutine running
+	// it, bound at start and released when the body returns.
+	fn func(p *Proc)
+	r  *runner
 
 	// parked plus the intrusive list links are the engine's blocked-process
 	// bookkeeping (see Engine.park/unpark): a state flag and two pointer
@@ -25,51 +34,100 @@ type Proc struct {
 // Spawn starts fn as a new simulated process at the current simulated time.
 // The name is used only in diagnostics. Spawn may be called before Run (to
 // seed the simulation) or from inside any event or process.
+// A panic in fn surfaces with its original value from Run; a runtime.Goexit
+// in fn (t.FailNow, say) ends the goroutine that called Engine.Run.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	e.procSeq++
-	p := &Proc{eng: e, id: e.procSeq, name: name, resume: make(chan struct{})}
-	e.live++
+	p := &Proc{eng: e, id: e.procSeq, name: name, fn: fn}
 	e.ProcsSpawned++
-	// The process body starts inside an event so that process startup is
-	// ordered with respect to every other event in the simulation.
-	e.After(0, func() {
-		go func() {
-			<-p.resume // wait for the scheduler's explicit go-ahead
-			// A panic in the process body is captured and re-raised on the
-			// scheduler's goroutine (see Engine.step): the scheduler is
-			// blocked on the handoff while the process runs, so without
-			// this the panic would unwind a bare goroutine and kill the
-			// program before Run's caller — or a sharded worker's recover —
-			// could see it.
-			defer func() {
-				if r := recover(); r != nil {
-					e.procPanic = r
-				}
-				p.done = true
-				e.live--
-				e.handoff <- struct{}{}
-			}()
-			fn(p)
-		}()
-		p.run()
-	})
+	// The process body starts inside an event (the first resume) so that
+	// process startup is ordered with respect to every other event.
+	e.schedProc(e.now, evResume, p)
 	return p
 }
 
-// run transfers control to the process and blocks the scheduler until the
-// process yields (by blocking on a primitive) or finishes.
+// run transfers control to the process, binding it to a runner on its
+// first resume, until it blocks on a primitive or finishes. A panic in the
+// body propagates out of next with its value.
 func (p *Proc) run() {
-	p.resume <- struct{}{}
-	<-p.eng.handoff
+	if p.r == nil {
+		p.r = getRunner()
+		p.r.p = p
+	}
+	p.eng.cur = p
+	p.r.next()
+	p.eng.cur = nil
+	if p.fn == nil {
+		putRunner(p.r)
+		p.r = nil
+	}
 }
 
 // block parks the calling process and hands control to the scheduler; it
 // returns when some event resumes the process. This is the single resume
-// path every blocking primitive funnels through: one handoff pair and no
-// allocation per block.
+// path every blocking primitive funnels through: one coroutine switch each
+// way and no allocation per block.
 func (p *Proc) block() {
-	p.eng.handoff <- struct{}{}
-	<-p.resume
+	if p.eng.cur != p {
+		panic(fmt.Sprintf("sim: process %q blocked outside its own body", p.name))
+	}
+	p.r.yield(struct{}{})
+}
+
+// A runner is a coroutine that runs process bodies, one at a time. Between
+// bodies it holds no reference to any process, so a finished process pins
+// nothing it captured (the runtime keeps a coroutine's closure until the
+// coroutine itself is unreachable).
+type runner struct {
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+	p     *Proc // the process being run, nil while idle
+}
+
+// idleRunners holds finished runners for later processes of any engine, at
+// most max of them (idleRunnerCap, which depends on the build); a runner
+// beyond the cap stops. The cap keeps idle runners a small heap cost next to
+// a paper-scale world.
+var idleRunners = struct {
+	sync.Mutex
+	rs  []*runner
+	max int
+}{max: idleRunnerCap}
+
+func getRunner() *runner {
+	idleRunners.Lock()
+	defer idleRunners.Unlock()
+	if n := len(idleRunners.rs); n > 0 {
+		r := idleRunners.rs[n-1]
+		idleRunners.rs = idleRunners.rs[:n-1]
+		return r
+	}
+	r := &runner{}
+	r.next, r.stop = iter.Pull(func(yield func(struct{}) bool) {
+		r.yield = yield
+		for {
+			p := r.p
+			p.fn(p)
+			p.fn, r.p = nil, nil
+			if !yield(struct{}{}) {
+				return
+			}
+		}
+	})
+	return r
+}
+
+func putRunner(r *runner) {
+	idleRunners.Lock()
+	keep := len(idleRunners.rs) < idleRunners.max
+	if keep {
+		idleRunners.rs = append(idleRunners.rs, r)
+	}
+	idleRunners.Unlock()
+	if !keep {
+		r.stop()
+	}
 }
 
 // yield parks the calling process. The scheduler resumes it when some event

@@ -1,31 +1,16 @@
 package core
 
-import (
-	"xtsim/internal/machine"
-)
-
 // Hybrid rank execution (DESIGN.md §4i): a run admitted to hybrid mode
 // skips coroutine-per-rank discrete-event scheduling entirely — every rank
 // advances a private clock through closed-form pricing of its compute and
 // communication, meeting the other ranks only at matching and collective
-// points. The tier decides how conservative the pricing is:
-//
-//   - HybridExact prices every transfer with the same reservation
-//     arithmetic the DES fabric uses, tracking link/NIC busy state in a
-//     session-private ledger. It is admitted only when the ledger can be
-//     proven equivalent to the event-driven schedule (single task per
-//     node, and — enforced during the run — at most one rank's traffic
-//     per link); the result is bit-identical to the full DES.
-//   - HybridAnalytic prices transfers with the uncontended closed form
-//     (the same formulas validated by the analytic collective model) and
-//     shares node memory bandwidth uniformly between a node's ranks. It
-//     admits VN placement and is an approximation, not an equivalence.
-//
-// The promotion rule is conservative and run-scoped: the moment an exact
-// run observes anything its ledger cannot prove (a link touched by two
-// ranks), the whole run aborts before any result is produced and re-runs
-// under the full DES — "promoted to DES before any timing divergence".
-// `-hybrid=off` (the default) bypasses all of this.
+// points. HybridExact replays the DES fabric's reservation arithmetic
+// against a session-private link/NIC ledger and is bit-identical to the
+// DES; HybridAnalytic charges the uncontended closed form and shares node
+// memory bandwidth uniformly, an approximation rather than an equivalence.
+// The moment an exact run observes anything its ledger cannot prove (a
+// link touched by two ranks), the whole run aborts before any result is
+// produced and re-runs under the full DES.
 
 // HybridTier selects the hybrid fast-path flavour.
 type HybridTier int
@@ -33,9 +18,9 @@ type HybridTier int
 const (
 	// HybridOff runs the ordinary coroutine-per-rank DES.
 	HybridOff HybridTier = iota
-	// HybridExact is the bit-identical ledger-priced fast path (SN only).
+	// HybridExact is the bit-identical ledger-priced fast path.
 	HybridExact
-	// HybridAnalytic is the closed-form approximate fast path (VN allowed).
+	// HybridAnalytic is the closed-form approximate fast path.
 	HybridAnalytic
 )
 
@@ -58,66 +43,33 @@ type HybClock struct {
 	T float64
 }
 
-// EnableHybrid asks the system to run ranks on the hybrid fast path at the
-// given tier. It reports whether hybrid mode engaged; outside the
-// admission envelope the system stays on the DES and HybridReason explains
-// why (mirroring EnableParallel/ParallelReason).
-//
-// Admission requires: a torus machine; the serial engine (the sharded
-// scheduler owns rank execution); no telemetry, critical-path recording,
-// or tracer (hybrid ranks produce no per-event records to aggregate); no
-// compute noise (the noise RNG is a shared sequential stream with no
-// deterministic hybrid order); and, for the exact tier, SN placement
-// (VN shares the NIC proxy core, whose queueing is arrival-ordered and
-// cannot be priced from a per-rank ledger).
-//
-// Call after NewSystem and any Enable* calls, before mpi.Run. The MPI
-// layer may still fall back at run time (exact-tier ledger violation);
+// EnableHybrid requests the hybrid fast path at the given tier and reports
+// whether it is engaged; the admission table decides (admission.go), and
+// HybridReason says why not (mirroring EnableParallel/ParallelReason). The
+// MPI layer may still fall back at run time (exact-tier ledger violation);
 // it calls DisableHybrid itself and the run restarts on the DES.
 func (s *System) EnableHybrid(tier HybridTier) bool {
 	if s.hybTier != HybridOff {
 		return true
 	}
-	reason := ""
-	switch {
-	case tier == HybridOff:
-		reason = "hybrid off requested"
-	case s.M.Topology != machine.Torus3D:
-		reason = "machine is not a torus"
-	case s.par != nil:
-		reason = "sharded scheduler owns rank execution"
-	case s.Tel != nil:
-		reason = "telemetry aggregation needs per-event records"
-	case s.CP != nil:
-		reason = "critical-path recording needs per-event records"
-	case s.Tracer != nil:
-		reason = "tracer ordering needs the event schedule"
-	case s.Tl != nil:
-		reason = timelineHybridReason
-	case s.NoiseAmp > 0:
-		reason = "noise RNG is a shared sequential stream"
-	case s.ioAttached:
-		reason = ioSharedReason
-	case tier == HybridExact && s.TasksPerNode != 1:
-		reason = "VN placement queues on the shared NIC proxy core"
+	s.hybWant = tier
+	s.hybReason = "hybrid off requested"
+	if tier != HybridOff {
+		if s.Admit(); s.hybTier != HybridOff {
+			return true
+		}
 	}
-	if reason != "" {
-		s.hybReason = reason
-		recordFallback("hybrid", reason)
-		return false
-	}
-	s.hybTier = tier
-	s.hybReason = ""
-	return true
+	recordFallback("hybrid", s.hybReason)
+	return false
 }
 
-// DisableHybrid reverts the system to the DES, recording why (surfaced by
-// HybridReason). Safe to call when already off.
+// DisableHybrid reverts the system to the DES for good, recording why
+// (surfaced by HybridReason; reason must be non-empty). A no-op when
+// already off.
 func (s *System) DisableHybrid(reason string) {
-	s.hybTier = HybridOff
-	if reason != "" {
-		s.hybReason = reason
-		recordFallback("hybrid", reason)
+	if s.hybTier != HybridOff {
+		s.hybRevoked = reason
+		s.Admit()
 	}
 }
 

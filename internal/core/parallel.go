@@ -1,10 +1,6 @@
 package core
 
 import (
-	"fmt"
-
-	"xtsim/internal/machine"
-	"xtsim/internal/network"
 	"xtsim/internal/sim"
 	"xtsim/internal/telemetry"
 	"xtsim/internal/torus"
@@ -16,91 +12,36 @@ type parRun struct {
 	part torus.Partition
 }
 
-// EnableParallel asks the system to run on `shards` sharded torus domains
-// under the conservative parallel scheduler (sim.ShardedEngine +
-// torus.Partition + the fabric's sharded delivery; DESIGN.md §4h). It
-// reports whether parallel mode engaged; when the system is outside the
-// admission envelope it stays serial and ParallelReason explains why.
-//
-// Admission requires: shards ≥ 2; a torus machine in SN placement (one
-// task per node — the VN proxy core is cross-slab shared state); no
-// telemetry, critical-path recording, or tracer (their aggregation is
-// cross-domain shared state); no compute noise (the noise RNG is a shared
-// sequential stream); and a torus actually divisible into 2+ slabs.
-//
-// Call after NewSystem and any Enable*/SetPlacement calls, before
-// mpi.NewWorld / Run. The MPI layer adds one more gate at Run time —
-// analytic collectives coordinate through engine-global state — and calls
-// DisableParallel itself for such runs, which is the "fall back to a
-// single thread for global collectives" policy.
+// EnableParallel requests the conservative parallel scheduler on `shards`
+// sharded torus domains (sim.ShardedEngine + torus.Partition + the
+// fabric's sharded delivery; DESIGN.md §4h) and reports whether the
+// admission table engaged it; ParallelReason says why not. mpi.Run calls
+// DisableParallel for runs whose analytic collectives meet through
+// engine-global state.
 func (s *System) EnableParallel(shards int) bool {
 	if s.par != nil {
 		return true
 	}
-	reason := ""
-	switch {
-	case shards < 2:
-		reason = "fewer than 2 shards requested"
-	case s.M.Topology != machine.Torus3D:
-		reason = "machine is not a torus"
-	case s.TasksPerNode != 1:
-		reason = "VN placement shares the NIC proxy core across slabs"
-	case s.Tel != nil:
-		reason = "telemetry aggregation is cross-domain shared state"
-	case s.CP != nil:
-		reason = "critical-path recording is cross-domain shared state"
-	case s.Tracer != nil:
-		reason = "tracer ordering is cross-domain shared state"
-	case s.NoiseAmp > 0:
-		reason = "noise RNG is a shared sequential stream"
-	case s.ioAttached:
-		reason = ioSharedReason
-	}
-	if reason == "" {
-		part := torus.NewPartition(s.Fabric.Tor, shards)
-		if part.NumDomains() < 2 {
-			reason = fmt.Sprintf("torus %v has a single plane on the slab axis", s.Fabric.Tor)
-		} else {
-			sh := sim.NewSharded(part.NumDomains(), network.Lookahead(s.M))
-			s.par = &parRun{sh: sh, part: part}
-			s.Fabric.EnableParallel(sh, part)
-			if s.Tl != nil {
-				// Timeline recording stays ON under sharding: each domain
-				// gets a private collector, folded deterministically after
-				// the run (DESIGN.md §4k).
-				s.Tl.Shard(part.NumDomains())
-				s.Fabric.TimelineShard(s.Tl.Collectors())
-			}
-			s.rebindNodeResources()
+	s.parShards = 0
+	s.parReason = "fewer than 2 shards requested"
+	if shards >= 2 {
+		s.parShards = shards
+		if s.Admit(); s.par != nil {
 			return true
 		}
 	}
-	s.parReason = reason
-	recordFallback("parallel", reason)
+	recordFallback("parallel", s.parReason)
 	return false
 }
 
-// DisableParallel reverts the system to the serial engine, recording why
-// (surfaced by ParallelReason). Safe to call when already serial; must not
-// be called once Run has started.
+// DisableParallel reverts the system to the serial engine for good,
+// recording why (surfaced by ParallelReason; reason must be non-empty). A
+// no-op when already serial; must not be called once Run has started.
 func (s *System) DisableParallel(reason string) {
-	if s.par == nil {
-		if reason != "" && s.parReason == "" {
-			s.parReason = reason
-		}
-		return
+	if s.par != nil {
+		s.parRevoked = reason
+		s.Admit()
 	}
-	s.par = nil
-	s.parReason = reason
-	recordFallback("parallel", reason)
-	s.Fabric.DisableParallel()
-	if s.Tl != nil {
-		// Back to serial shape: fold the (traffic-free) domain collectors
-		// and reinstall the single collector on the serial fabric path.
-		s.Tl.Unshard()
-		s.Fabric.EnableTimeline(s.Tl.Dom(0))
-	}
-	s.rebindNodeResources()
 }
 
 // ParallelEnabled reports whether the next Run uses the sharded scheduler.

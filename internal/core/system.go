@@ -73,31 +73,27 @@ type System struct {
 	// attach; with CP nil the instrumented hot paths pay one nil check.
 	CP *critpath.Recorder
 	// Tl is the timeline flight recorder, nil until EnableTimeline — the
-	// same nil-gate idiom as Tel/CP. Unlike those, it composes with the
-	// sharded scheduler: each domain samples into its own collector and
-	// Run folds them deterministically after the terminal window barrier
-	// (DESIGN.md §4k). The hybrid fast path still declines — free-running
-	// ranks produce no per-event reservations to sample.
+	// same nil-gate idiom as Tel/CP. Under the sharded scheduler each
+	// domain samples into its own collector and Run folds them
+	// deterministically after the terminal window barrier (DESIGN.md §4k).
 	Tl *timeline.Recorder
 	// Rng drives noise; owned by the experiment for reproducibility.
 	Rng *rand.Rand
 
-	// par is the sharded-scheduler state, nil in serial mode; parReason
-	// records why a parallel request fell back. See parallel.go.
-	par       *parRun
-	parReason string
-
-	// hybTier is the admitted hybrid fast-path tier (HybridOff = DES);
-	// hybReason records why a hybrid request declined or fell back. See
-	// hybrid.go.
-	hybTier   HybridTier
-	hybReason string
+	// Fast-path admission state (admission.go). parShards and hybWant are
+	// the standing requests, par and hybTier what Admit engaged for them;
+	// the reasons say why a request is declined, and the *Revoked reasons
+	// are run-time revocations (DisableParallel/DisableHybrid), which
+	// stick.
+	parShards             int
+	par                   *parRun
+	parReason, parRevoked string
+	hybWant, hybTier      HybridTier
+	hybReason, hybRevoked string
 
 	// ioAttached marks that an I/O subsystem (lustre filesystem, checkpoint
-	// writer) registered itself via AttachIO. Its MDS/OSS/OST resources are
-	// engine-global shared state, so the parallel scheduler and the hybrid
-	// fast path decline while it is set. ioReport, when non-nil, contributes
-	// the I/O section of TelemetryReport.
+	// writer) registered itself via AttachIO. ioReport, when non-nil,
+	// contributes the I/O section of TelemetryReport.
 	ioAttached bool
 	ioReport   func(horizon float64) *telemetry.IOReport
 }
@@ -164,6 +160,7 @@ func NewSystemSIO(m machine.Machine, mode machine.Mode, nTasks, sioNodes int) *S
 func (s *System) EnableTelemetry() *System {
 	if s.Tel == nil {
 		s.Tel = &telemetry.Set{Fabric: s.Fabric.EnableTelemetry()}
+		s.Admit()
 	}
 	return s
 }
@@ -187,25 +184,15 @@ func (s *System) TelemetryReport() *telemetry.Report {
 	return rep
 }
 
-// timelineHybridReason is recorded when the flight recorder forces a
-// hybrid request back onto the DES.
-const timelineHybridReason = "timeline recording needs per-event reservation records"
-
 // EnableTimeline switches on the phase-resolved flight recorder: fabric
 // reservations (links, NICs, VN proxies) are sampled into fixed
 // simulated-time bins from now on, applications may emit phase spans via
-// the MPI layer, and TimelineReport joins the two. Composable with the
-// sharded scheduler (per-domain collectors, folded deterministically after
-// the run) and with telemetry/critpath on the serial engine; an admitted
-// hybrid fast path is revoked — free-running ranks have no reservations to
-// sample. Idempotent; call before creating the MPI world and before the
-// traffic of interest. Returns the system for chaining.
+// the MPI layer, and TimelineReport joins the two. Idempotent; call before
+// creating the MPI world and before the traffic of interest. Returns the
+// system for chaining.
 func (s *System) EnableTimeline() *System {
 	if s.Tl != nil {
 		return s
-	}
-	if s.hybTier != HybridOff {
-		s.DisableHybrid(timelineHybridReason)
 	}
 	s.Tl = timeline.NewRecorder(s.NumTasks)
 	s.Tl.SetResources(timeline.Link, s.Fabric.NumLinks())
@@ -217,6 +204,7 @@ func (s *System) EnableTimeline() *System {
 	} else {
 		s.Fabric.EnableTimeline(s.Tl.Dom(0))
 	}
+	s.Admit()
 	return s
 }
 
@@ -241,32 +229,21 @@ func (s *System) EnableCritPath() *System {
 	if s.CP == nil {
 		s.CP = critpath.NewRecorder(s.NumTasks, 0)
 		s.Fabric.EnableCritPath(s.CP)
+		s.Admit()
 	}
 	return s
 }
 
-// ioSharedReason is the admission/fallback reason recorded when the I/O
-// subsystem forces the simulator onto the serial DES.
-const ioSharedReason = "I/O subsystem resources (MDS, OSS/OST) are engine-global shared state"
-
 // AttachIO registers an I/O subsystem (a Lustre filesystem, typically via
-// lustre.Attach) with the system. From here on the parallel scheduler and
-// the hybrid fast path decline — the filesystem's MDS FIFO queue and
-// OSS/OST processor-sharing resources are engine-global, so sharded or
-// free-running execution would race on them — and an already-admitted fast
-// path is revoked before it can diverge. report, when non-nil, supplies
-// the I/O section of TelemetryReport.
+// lustre.Attach) with the system and re-checks admission at once, so a
+// fast path the filesystem rules out is gone when AttachIO returns.
+// report, when non-nil, supplies the I/O section of TelemetryReport.
 func (s *System) AttachIO(report func(horizon float64) *telemetry.IOReport) {
 	s.ioAttached = true
 	if report != nil {
 		s.ioReport = report
 	}
-	if s.par != nil {
-		s.DisableParallel(ioSharedReason)
-	}
-	if s.hybTier != HybridOff {
-		s.DisableHybrid(ioSharedReason)
-	}
+	s.Admit()
 }
 
 // CritPathReport walks the recorded causal graph backwards from the

@@ -9,10 +9,7 @@ import (
 // registers it with the system. This is the front door for experiments:
 // OSS servers land on the fabric's reserved SIO nodes when the system was
 // built with core.NewSystemSIO (legacy top-of-range placement otherwise),
-// the I/O counters come up whenever the system's telemetry is enabled, and
-// the system's parallel scheduler and hybrid fast path decline from here
-// on (core.AttachIO) because the MDS/OSS/OST resources are engine-global
-// shared state.
+// and the I/O counters come up whenever the system's telemetry is enabled.
 func Attach(sys *core.System, cfg Config) (*FS, error) {
 	fs, err := New(sys.Eng, sys.Fabric, cfg)
 	if err != nil {
@@ -23,9 +20,9 @@ func Attach(sys *core.System, cfg Config) (*FS, error) {
 	}
 	sys.AttachIO(fs.TelemetryReport)
 	if sys.Tl != nil {
-		// After AttachIO: attaching revokes the sharded scheduler, which
-		// folds the recorder back to one collector — the one OST samples
-		// must land in.
+		// After AttachIO: its admission check has revoked the sharded
+		// scheduler, folding the recorder back to one collector — the one
+		// OST samples must land in.
 		fs.EnableTimeline(sys.Tl.Dom(0))
 		sys.Tl.SetResources(timeline.OST, cfg.TotalOSTs())
 	}

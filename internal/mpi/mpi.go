@@ -142,7 +142,10 @@ type World struct {
 // collector to the system's telemetry set; if critical-path recording is
 // enabled (core.System.EnableCritPath), the world records blocked
 // segments into the system's recorder and labels them with OpClass names.
+// It re-checks fast-path admission first (core.System.Admit), so the
+// per-domain pools are sized for the engine the run will use.
 func NewWorld(sys *core.System) *World {
+	sys.Admit()
 	w := &World{sys: sys, pools: make([]wpool, sys.NumDomains())}
 	if sys.Tel != nil {
 		w.tel = telemetry.NewMPIStats(opNames(), 0)
@@ -235,6 +238,9 @@ type P struct {
 // Run spawns body on every task of sys with a world communicator and runs
 // the simulation, returning the makespan in seconds.
 func Run(sys *core.System, mode CollectiveMode, body func(p *P)) sim.Time {
+	// Fast-path admission is a function of the system as the run starts,
+	// including plain field writes (Tracer, NoiseAmp) no Enable* call saw.
+	sys.Admit()
 	// Global-collective fallback (DESIGN.md §4h): analytic collectives
 	// coordinate every rank through one shared meet point, which is
 	// engine-global state the sharded scheduler cannot host. When this run

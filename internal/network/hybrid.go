@@ -41,18 +41,12 @@ type HybridSession struct {
 }
 
 // BeginHybrid opens a pricing session on the fabric, or declines with a
-// reason (mirroring the EnableParallel admission style). Declines when the
-// sharded delivery is active, when links are degraded (per-link derates
-// are fault-injection state the closed forms do not model), or on a
-// non-torus fabric.
+// reason when links are degraded (per-link derates are fault-injection
+// state the closed forms do not model). The rest of hybrid admission is
+// core's admission table.
 func (f *Fabric) BeginHybrid(exact bool) (*HybridSession, string) {
-	switch {
-	case f.par != nil:
-		return nil, "sharded delivery owns the fabric"
-	case f.derate != nil:
+	if f.derate != nil {
 		return nil, "degraded links require event-driven pricing"
-	case f.M.Topology != machine.Torus3D:
-		return nil, "fabric is not a torus"
 	}
 	s := &HybridSession{f: f, exact: exact}
 	if exact {

@@ -67,9 +67,8 @@ type parState struct {
 
 // EnableParallel switches the fabric to sharded delivery. The partition
 // must cover this fabric's torus and match the sharded engine's domain
-// count; telemetry and critical-path recording must be off (their
-// aggregation points are cross-domain shared state — callers fall back to
-// the serial engine instead). Call before any traffic.
+// count, and telemetry and critical-path recording must be off. Call
+// before any traffic.
 func (f *Fabric) EnableParallel(sh *sim.ShardedEngine, part torus.Partition) {
 	if f.M.Topology != machine.Torus3D {
 		panic(fmt.Sprintf("network: parallel fabric requires a torus topology (%s)", f.M.Name))

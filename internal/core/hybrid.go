@@ -4,7 +4,7 @@ package core
 // skips coroutine-per-rank discrete-event scheduling entirely — every rank
 // advances a private clock through closed-form pricing of its compute and
 // communication, meeting the other ranks only at matching and collective
-// points. HybridExact replays the DES fabric's reservation arithmetic
+// points. HybridExact prices through the DES fabric's own send-side walk
 // against a session-private link/NIC ledger and is bit-identical to the
 // DES; HybridAnalytic charges the uncontended closed form and shares node
 // memory bandwidth uniformly, an approximation rather than an equivalence.

@@ -51,33 +51,35 @@ func TestByIDErrorText(t *testing.T) {
 
 // TestEveryExperimentRunsShort is the whole-system integration test: every
 // registered experiment (every table, figure and ablation) must execute at
-// reduced scale and render a non-empty table.
+// reduced scale and render a non-empty table. It reads the statuses of the
+// -jobs 1 campaign that TestCampaignOutputIdenticalAcrossJobs compares, so
+// the package runs the registry at short scale once for both tests.
 func TestEveryExperimentRunsShort(t *testing.T) {
 	if testing.Short() {
 		// Even reduced scale is minutes on a 1-CPU box; this is the
 		// integration test for the full run.
 		t.Skip("integration sweep runs in full mode")
 	}
-	for _, e := range All() {
-		e := e
-		t.Run(e.ID, func(t *testing.T) {
-			res, err := e.Execute(Options{Short: true})
-			if err != nil {
-				t.Fatalf("%s failed: %v", e.ID, err)
+	_, statuses := shortCampaign()
+	for _, s := range statuses {
+		t.Run(s.Experiment.ID, func(t *testing.T) {
+			id := s.Experiment.ID
+			if s.Err != nil {
+				t.Fatalf("%s failed: %v", id, s.Err)
 			}
-			if len(res.Blocks) == 0 {
-				t.Fatalf("%s produced no blocks", e.ID)
+			if len(s.Result.Blocks) == 0 {
+				t.Fatalf("%s produced no blocks", id)
 			}
 			var buf bytes.Buffer
-			if err := res.Render(&buf); err != nil {
-				t.Fatalf("%s render: %v", e.ID, err)
+			if err := s.Result.Render(&buf); err != nil {
+				t.Fatalf("%s render: %v", id, err)
 			}
 			if buf.Len() == 0 {
-				t.Fatalf("%s produced no output", e.ID)
+				t.Fatalf("%s produced no output", id)
 			}
 			// Every output should have at least a header and one data row.
 			if lines := strings.Count(buf.String(), "\n"); lines < 2 {
-				t.Fatalf("%s output too short:\n%s", e.ID, buf.String())
+				t.Fatalf("%s output too short:\n%s", id, buf.String())
 			}
 		})
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -83,6 +84,15 @@ func TestRunnerOutputIdenticalAcrossJobs(t *testing.T) {
 	}
 }
 
+// shortCampaign runs the whole registry at short scale with one worker,
+// once per test binary, and hands every caller its rendered output and
+// statuses.
+var shortCampaign = sync.OnceValues(func() ([]byte, []Status) {
+	var out bytes.Buffer
+	statuses := (&Runner{Jobs: 1, Opts: Options{Short: true}, Output: &out}).Run(All())
+	return out.Bytes(), statuses
+})
+
 // TestCampaignOutputIdenticalAcrossJobs is the real-registry determinism
 // guarantee: `xtsim -run all -short` renders byte-identical output at any
 // worker count.
@@ -90,16 +100,14 @@ func TestCampaignOutputIdenticalAcrossJobs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-registry campaign comparison runs in full mode")
 	}
-	opts := Options{Short: true}
-	var seq bytes.Buffer
-	(&Runner{Jobs: 1, Opts: opts, Output: &seq}).Run(All())
+	seq, _ := shortCampaign()
 	var par bytes.Buffer
-	(&Runner{Jobs: 8, Opts: opts, Output: &par}).Run(All())
-	if !bytes.Equal(seq.Bytes(), par.Bytes()) {
+	(&Runner{Jobs: 8, Opts: Options{Short: true}, Output: &par}).Run(All())
+	if !bytes.Equal(seq, par.Bytes()) {
 		t.Fatalf("campaign output differs between -jobs 1 (%d bytes) and -jobs 8 (%d bytes)",
-			seq.Len(), par.Len())
+			len(seq), par.Len())
 	}
-	if seq.Len() == 0 {
+	if len(seq) == 0 {
 		t.Fatal("campaign produced no output")
 	}
 }

@@ -151,10 +151,9 @@ func (p *P) hybRecv(src, tag int) Envelope {
 func (p *P) hybIsend(dst, tag int, bytes int64, data []float64) *Request {
 	t := p.hyb
 	dstTask := p.global(dst)
-	tl, ok := t.run.sess.Price(t.clk.T, p.msg(dstTask, bytes), p.task.ID)
-	if !ok {
-		_, reason := t.run.sess.Violated()
-		t.run.fail(reason)
+	tl, err := t.run.sess.Price(t.clk.T, p.msg(dstTask, bytes), p.task.ID)
+	if err != nil {
+		t.run.fail(err.Error())
 		panic(hybAbort{})
 	}
 	t.sentMsgs++

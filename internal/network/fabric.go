@@ -34,8 +34,7 @@ type Fabric struct {
 	M   machine.Machine
 	Tor torus.Torus
 
-	links   []sim.FIFOResource // directed torus links, indexed by Tor.LinkID
-	nicTx   []sim.FIFOResource // per-node injection port
+	ledger                     // the links and injection ports messages reserve
 	nicRx   []sim.FIFOResource // per-node ejection port (binding on flat fabrics)
 	vnProxy []sim.FIFOResource // per-node VN-mode message-handling core
 
@@ -98,6 +97,12 @@ type Fabric struct {
 // working set (see torus.RouteCache for the eviction policy).
 const maxRouteCacheEntries = 1 << 17
 
+// newRouteCache builds a route cache for tor, bounded by
+// maxRouteCacheEntries or by the count of ordered node pairs if smaller.
+func newRouteCache(tor torus.Torus) *torus.RouteCache {
+	return torus.NewRouteCache(tor, min(maxRouteCacheEntries, tor.Nodes()*tor.Nodes()))
+}
+
 // New builds a fabric for nNodes nodes of machine m.
 func New(eng *sim.Engine, m machine.Machine, nNodes int) *Fabric {
 	return NewWithSIO(eng, m, nNodes, 0)
@@ -114,19 +119,14 @@ func NewWithSIO(eng *sim.Engine, m machine.Machine, nCompute, nSIO int) *Fabric 
 		panic("network: negative SIO node count")
 	}
 	tor := m.TorusFor(nCompute + nSIO)
-	cacheMax := maxRouteCacheEntries
-	if pairs := tor.Nodes() * tor.Nodes(); pairs < cacheMax {
-		cacheMax = pairs
-	}
 	f := &Fabric{
 		Eng:     eng,
 		M:       m,
 		Tor:     tor,
-		links:   make([]sim.FIFOResource, tor.NumLinks()),
-		nicTx:   make([]sim.FIFOResource, tor.Nodes()),
+		ledger:  newLedger(tor),
 		nicRx:   make([]sim.FIFOResource, tor.Nodes()),
 		vnProxy: make([]sim.FIFOResource, tor.Nodes()),
-		routes:  torus.NewRouteCache(tor, cacheMax),
+		routes:  newRouteCache(tor),
 	}
 	for i := 0; i < nSIO; i++ {
 		f.sio = append(f.sio, tor.Nodes()-1-i)
@@ -280,30 +280,105 @@ func (f *Fabric) deliverLocal(at sim.Time, msg Msg) Timeline {
 	return Timeline{Depart: at, Injected: done, Arrive: arrive}
 }
 
+// ledger is the reservation state a remote transfer books on its way out:
+// the directed torus links (indexed by Tor.LinkID) and the per-node NIC
+// injection ports. The fabric owns one; an exact hybrid session prices
+// against a private one.
+type ledger struct {
+	links []sim.FIFOResource
+	nicTx []sim.FIFOResource
+}
+
+func newLedger(tor torus.Torus) ledger {
+	return ledger{
+		links: make([]sim.FIFOResource, tor.NumLinks()),
+		nicTx: make([]sim.FIFOResource, tor.Nodes()),
+	}
+}
+
 // deliverRemote models the full network path and schedules onArrive. The
-// send side (software overhead, VN proxy, injection, links) is computed
-// eagerly in reservation order, which is also time order for a node's own
-// sends; the receive-side VN proxy is handled by an event at the payload's
-// tail-arrival time, so that proxy queueing follows *arrival* order — a
-// FIFO reserved eagerly with future timestamps would queue messages in
-// send order and inflate contention unboundedly.
+// send side (priceSend) is computed eagerly in reservation order, which is
+// also time order for a node's own sends; the receive-side VN proxy is
+// handled by an event at the payload's tail-arrival time, so that proxy
+// queueing follows *arrival* order — a FIFO reserved eagerly with future
+// timestamps would queue messages in send order and inflate contention
+// unboundedly.
 func (f *Fabric) deliverRemote(at sim.Time, msg Msg, onArrive sim.Arriver) Timeline {
-	nic := f.M.NIC
-	link := f.M.Link
+	nic := &f.M.NIC
+	route := f.routes.LinkIDs(msg.SrcNode, msg.DstNode)
+	injected, tail, eid := f.priceSend(&f.ledger, f.tl, at, &msg, route, len(route))
+	var e *critpath.Edge
+	if eid != 0 {
+		e = f.cp.Edge(eid)
+	}
+
+	// On flat switched fabrics the ejection port is a real bottleneck
+	// (many-to-one patterns); on the torus the final link already
+	// serialised arrivals into the node.
+	if f.M.Topology == machine.FlatSwitch {
+		ej := float64(msg.Bytes) / nic.EffBW()
+		s := f.nicRx[msg.DstNode].Reserve(tail-ej, ej)
+		if f.tel != nil {
+			f.tel.NICRx[msg.DstNode] += msg.Bytes
+			f.tel.NICRxWait[msg.DstNode] += s - (tail - ej)
+		}
+		if e != nil {
+			e.LinkWait += s - (tail - ej)
+		}
+		tail = s + ej
+	}
+
+	// Receive-side mediation and software overhead.
+	recvOv := nic.RecvOverheadUS * usToS
+	if msg.Mode == machine.VN && nic.VNProxyUS > 0 {
+		dur := nic.VNProxyUS * usToS
+		med := 0.0
+		if msg.DstCore > 0 {
+			med = nic.VNMediationUS * usToS
+		}
+		// Reserve the handling core when the payload actually arrives, so
+		// contention reflects arrival order. The critical-path edge is
+		// finished there too (receive-proxy queueing isn't known yet).
+		v := f.newVNArrival(msg.DstNode, msg.Bytes, med+recvOv, onArrive)
+		v.edge = eid
+		f.Eng.AtArrive(tail, v)
+		// The returned timeline carries the uncontended estimate; the
+		// authoritative arrival is the onArrive callback's timestamp.
+		return Timeline{Depart: at, Injected: injected, Arrive: tail + dur + med + recvOv}
+	}
+	arrive := tail + recvOv
+	if e != nil {
+		e.Overhead += recvOv
+	}
+	if onArrive != nil {
+		f.Eng.AtArrive(arrive, onArrive)
+	}
+	return Timeline{Depart: at, Injected: injected, Arrive: arrive}
+}
+
+// priceSend is the send side of a remote transfer — software overhead, the
+// rendezvous round-trip, the VN send proxy, NIC injection and the
+// cut-through walk along route — and the one statement of that cost model:
+// serial delivery, sharded delivery and the exact hybrid tier all price
+// through it and differ only in what they pass. It reserves the injection
+// port and the first owned links of route on l; links past owned (the
+// sharded fabric's foreign hops) are priced at uncontended wire time. tl,
+// when non-nil, samples every reservation. It returns when the payload
+// finished leaving the source, when its tail reaches the destination node,
+// and the critical-path edge id (0 when recording is off); the receive
+// side is the caller's.
+func (f *Fabric) priceSend(l *ledger, tl *timeline.Collector, at sim.Time, msg *Msg, route []int32, owned int) (injected, tail sim.Time, eid int32) {
+	nic := &f.M.NIC
+	link := &f.M.Link
 	size := float64(msg.Bytes)
+	hops := len(route)
 
 	// Send-side software overhead.
 	t := at + nic.SendOverheadUS*usToS
 
-	// The cached dimension-ordered route, as link ids; its length is the
-	// hop count.
-	route := f.routes.LinkIDs(msg.SrcNode, msg.DstNode)
-	hops := len(route)
-
 	// Critical-path edge: each stage below adds its contribution so the
 	// five components sum exactly to the arrival − at span, even though
 	// the stages themselves overlap under cut-through pipelining.
-	var eid int32
 	var e *critpath.Edge
 	if f.cp != nil {
 		eid, e = f.cp.StartEdge(critpath.EdgeMessage, at, msg.Bytes, hops)
@@ -337,8 +412,8 @@ func (f *Fabric) deliverRemote(at sim.Time, msg Msg, onArrive sim.Arriver) Timel
 			f.tel.VNProxy[msg.SrcNode] += msg.Bytes
 			f.tel.VNProxyWait[msg.SrcNode] += start - t
 		}
-		if f.tl != nil {
-			f.tl.Sample(timeline.VNProxy, t, start, start+nic.VNProxyUS*usToS)
+		if tl != nil {
+			tl.Sample(timeline.VNProxy, t, start, start+nic.VNProxyUS*usToS)
 		}
 		if e != nil {
 			e.InjWait += start - t
@@ -350,14 +425,14 @@ func (f *Fabric) deliverRemote(at sim.Time, msg Msg, onArrive sim.Arriver) Timel
 	// NIC injection: the payload serialises through the HyperTransport/
 	// NIC path at the effective injection bandwidth.
 	injTime := size / nic.EffBW()
-	t0 := f.nicTx[msg.SrcNode].Reserve(t, injTime)
+	t0 := l.nicTx[msg.SrcNode].Reserve(t, injTime)
 	if f.tel != nil {
 		f.tel.NICTx[msg.SrcNode] += msg.Bytes
 		f.tel.NICTxWait[msg.SrcNode] += t0 - t
 		f.tel.Hop += msg.Bytes * int64(hops)
 	}
-	if f.tl != nil {
-		f.tl.Sample(timeline.NIC, t, t0, t0+injTime)
+	if tl != nil {
+		tl.Sample(timeline.NIC, t, t0, t0+injTime)
 	}
 	if e != nil {
 		e.InjWait += t0 - t
@@ -373,15 +448,18 @@ func (f *Fabric) deliverRemote(at sim.Time, msg Msg, onArrive sim.Arriver) Timel
 	lastSer := 0.0
 	linkWaitSum := 0.0
 	tel := f.tel // hoisted: Reserve can't alias it, but the compiler can't tell
-	tl := f.tl
-	for _, id := range route {
+	links := l.links
+	for i, id := range route {
 		bw := link.BW
 		if f.derate != nil {
 			bw *= f.derate[id]
 		}
 		linkSer := size / bw
 		req := head + link.HopLatencyUS*usToS
-		s := f.links[id].Reserve(req, linkSer)
+		s := req
+		if i < owned {
+			s = links[id].Reserve(req, linkSer)
+		}
 		if tel != nil {
 			tel.Link[id] += msg.Bytes
 			tel.LinkWait[id] += s - req
@@ -403,7 +481,8 @@ func (f *Fabric) deliverRemote(at sim.Time, msg Msg, onArrive sim.Arriver) Timel
 	// Tail arrival at the destination node: bounded below both by the last
 	// link's serialisation and by injection completing plus the route's
 	// pipeline latency (the wormhole can't outrun the source).
-	tail := lastStart + lastSer
+	injected = t0 + injTime
+	tail = lastStart + lastSer
 	if lower := t0 + injTime + float64(hops)*link.HopLatencyUS*usToS; lower > tail {
 		tail = lower
 	}
@@ -412,7 +491,7 @@ func (f *Fabric) deliverRemote(at sim.Time, msg Msg, onArrive sim.Arriver) Timel
 		// the per-hop waits overlap serialisation, so cap their sum at the
 		// phase length; the remainder is wire time (latency + pipeline
 		// fill). This keeps LinkWait + Transit exactly equal to the phase.
-		phase := tail - (t0 + injTime)
+		phase := tail - injected
 		lw := linkWaitSum
 		if lw > phase {
 			lw = phase
@@ -420,50 +499,7 @@ func (f *Fabric) deliverRemote(at sim.Time, msg Msg, onArrive sim.Arriver) Timel
 		e.LinkWait += lw
 		e.Transit += phase - lw
 	}
-
-	// On flat switched fabrics the ejection port is a real bottleneck
-	// (many-to-one patterns); on the torus the final link already
-	// serialised arrivals into the node.
-	if f.M.Topology == machine.FlatSwitch {
-		ej := size / nic.EffBW()
-		s := f.nicRx[msg.DstNode].Reserve(tail-ej, ej)
-		if f.tel != nil {
-			f.tel.NICRx[msg.DstNode] += msg.Bytes
-			f.tel.NICRxWait[msg.DstNode] += s - (tail - ej)
-		}
-		if e != nil {
-			e.LinkWait += s - (tail - ej)
-		}
-		tail = s + ej
-	}
-
-	// Receive-side mediation and software overhead.
-	injected := t0 + injTime
-	recvOv := nic.RecvOverheadUS * usToS
-	if msg.Mode == machine.VN && nic.VNProxyUS > 0 {
-		dur := nic.VNProxyUS * usToS
-		med := 0.0
-		if msg.DstCore > 0 {
-			med = nic.VNMediationUS * usToS
-		}
-		// Reserve the handling core when the payload actually arrives, so
-		// contention reflects arrival order. The critical-path edge is
-		// finished there too (receive-proxy queueing isn't known yet).
-		v := f.newVNArrival(msg.DstNode, msg.Bytes, med+recvOv, onArrive)
-		v.edge = eid
-		f.Eng.AtArrive(tail, v)
-		// The returned timeline carries the uncontended estimate; the
-		// authoritative arrival is the onArrive callback's timestamp.
-		return Timeline{Depart: at, Injected: injected, Arrive: tail + dur + med + recvOv}
-	}
-	arrive := tail + recvOv
-	if e != nil {
-		e.Overhead += recvOv
-	}
-	if onArrive != nil {
-		f.Eng.AtArrive(arrive, onArrive)
-	}
-	return Timeline{Depart: at, Injected: injected, Arrive: arrive}
+	return injected, tail, eid
 }
 
 // DegradeLink installs a bandwidth multiplier on one directed link
@@ -503,16 +539,6 @@ func (f *Fabric) ZeroLatencyEstimate(hops int, mode machine.Mode, farCore bool) 
 		}
 	}
 	return lat
-}
-
-// LinkUtilization reports per-link busy fractions over [0, horizon];
-// useful for diagnosing bisection-limited workloads such as PTRANS.
-func (f *Fabric) LinkUtilization(horizon sim.Time) []float64 {
-	out := make([]float64, len(f.links))
-	for i := range f.links {
-		out[i] = f.links[i].Utilization(horizon)
-	}
-	return out
 }
 
 // EnableTelemetry installs the per-resource byte counters (nil-gated, like

@@ -4,17 +4,17 @@ package network
 // domains (torus.Partition), driven by the conservative sharded scheduler
 // (sim.ShardedEngine). See DESIGN.md §4h for the invariants.
 //
-// Deliver runs, as in serial mode, entirely inside the sender's event —
-// but reserves only resources owned by the sender's slab: its NIC
-// injection port and every route link whose From-node lies in the slab.
-// Dimension-ordered routing plus slabbing along the last routed axis mean
-// the route's whole pre-axis prefix and its first axis hop are
-// slab-owned, so for nearest-neighbour traffic (the S3D/halo class the
-// parallel engine targets) that is the entire route and the timing is
-// bit-for-bit the serial fabric's. Hops beyond the first foreign link are
-// priced at uncontended wire time — no reservation, no contention — and
-// counted per domain (ForeignHops); a run that reports zero foreign hops
-// contended exactly like the serial engine.
+// Deliver runs, as in serial mode, entirely inside the sender's event and
+// through the same send-side walk (priceSend), but reserves only resources
+// owned by the sender's slab: its NIC injection port and every route link
+// whose From-node lies in the slab. Dimension-ordered routing plus slabbing
+// along the last routed axis mean the route's whole pre-axis prefix and its
+// first axis hop are slab-owned, so for nearest-neighbour traffic (the
+// S3D/halo class the parallel engine targets) that is the entire route and
+// the timing is bit-for-bit the serial fabric's. Hops from the first
+// foreign link on are priced at uncontended wire time — no reservation, no
+// contention — and counted per domain (ForeignHops); a run that reports
+// zero foreign hops contended exactly like the serial engine.
 //
 // The one cross-domain effect is the arrival callback, posted to the
 // destination slab's engine through the coordinator's deterministic
@@ -82,14 +82,9 @@ func (f *Fabric) EnableParallel(sh *sim.ShardedEngine, part torus.Partition) {
 	if f.tel != nil || f.cp != nil {
 		panic("network: parallel fabric is incompatible with telemetry/critpath recording")
 	}
-	d := part.NumDomains()
-	cacheMax := maxRouteCacheEntries
-	if pairs := f.Tor.Nodes() * f.Tor.Nodes(); pairs < cacheMax {
-		cacheMax = pairs
-	}
-	p := &parState{sh: sh, part: part, dom: make([]fabricDomain, d)}
+	p := &parState{sh: sh, part: part, dom: make([]fabricDomain, part.NumDomains())}
 	for i := range p.dom {
-		p.dom[i].routes = torus.NewRouteCache(f.Tor, cacheMax)
+		p.dom[i].routes = newRouteCache(f.Tor)
 	}
 	f.par = p
 }
@@ -197,64 +192,23 @@ func (f *Fabric) deliverParallel(at sim.Time, msg Msg, onArrive sim.Arriver) Tim
 		panic("network: VN-mode delivery on the parallel fabric")
 	}
 
-	nic := f.M.NIC
-	link := f.M.Link
-	size := float64(msg.Bytes)
-
-	t := at + nic.SendOverheadUS*usToS
+	// Reserve the route's slab-owned prefix only: Z is routed last and
+	// monotonically, so every link from the first foreign one on is
+	// foreign too and is priced at uncontended wire time. Foreign hops are
+	// sampled by the sending slab at wire time (zero wait) — outside the
+	// zero-foreign-hop equivalence class only, where byte identity is not
+	// promised anyway.
 	route := d.routes.LinkIDs(msg.SrcNode, msg.DstNode)
-	hops := len(route)
-
-	if nic.RendezvousThresholdBytes > 0 && msg.Bytes > int64(nic.RendezvousThresholdBytes) {
-		t += 2 * (nic.SendOverheadUS*usToS + float64(hops)*link.HopLatencyUS*usToS)
-	}
-
-	injTime := size / nic.EffBW()
-	t0 := f.nicTx[msg.SrcNode].Reserve(t, injTime)
-	if d.tl != nil {
-		d.tl.Sample(timeline.NIC, t, t0, t0+injTime)
-	}
-
-	// Walk the route exactly as the serial fabric does, but stop reserving
-	// at the first link owned by another slab: Z is routed last and
-	// monotonically, so every link from there on is foreign too.
-	head := t0
-	var lastStart sim.Time = t0
-	lastSer := 0.0
-	foreign := false
-	for _, id := range route {
-		bw := link.BW
-		if f.derate != nil {
-			bw *= f.derate[id]
+	owned := len(route)
+	for i, id := range route {
+		if p.part.DomainOfLink(int(id)) != srcDom {
+			owned = i
+			break
 		}
-		linkSer := size / bw
-		req := head + link.HopLatencyUS*usToS
-		if !foreign && p.part.DomainOfLink(int(id)) != srcDom {
-			foreign = true
-		}
-		var s sim.Time
-		if foreign {
-			d.foreignHops++
-			s = req // uncontended wire time; see package comment
-		} else {
-			s = f.links[id].Reserve(req, linkSer)
-		}
-		if d.tl != nil {
-			// Foreign hops sampled by the sending slab at wire time (zero
-			// wait, s == req) — outside the zero-foreign-hop equivalence
-			// class only, where byte identity is not promised anyway.
-			d.tl.Sample(timeline.Link, req, s, s+linkSer)
-		}
-		head = s
-		lastStart = s
-		lastSer = linkSer
 	}
-
-	tail := lastStart + lastSer
-	if lower := t0 + injTime + float64(hops)*link.HopLatencyUS*usToS; lower > tail {
-		tail = lower
-	}
-	arrive := tail + nic.RecvOverheadUS*usToS
+	d.foreignHops += uint64(len(route) - owned)
+	injected, tail, _ := f.priceSend(&f.ledger, d.tl, at, &msg, route, owned)
+	arrive := tail + f.M.NIC.RecvOverheadUS*usToS
 	if onArrive != nil {
 		dstDom := p.part.DomainOf(msg.DstNode)
 		// Merge tiebreak: (src, dst) node pair. Same-pair posts share the
@@ -262,5 +216,5 @@ func (f *Fabric) deliverParallel(at sim.Time, msg Msg, onArrive sim.Arriver) Tim
 		key := uint64(uint32(msg.SrcNode))<<32 | uint64(uint32(msg.DstNode))
 		eng.Post(dstDom, arrive, key, onArrive)
 	}
-	return Timeline{Depart: at, Injected: t0 + injTime, Arrive: arrive}
+	return Timeline{Depart: at, Injected: injected, Arrive: arrive}
 }
